@@ -73,7 +73,7 @@ pub fn packets_for(bytes: u64) -> u32 {
 /// Wire size of data packet `seq` of a flow with `total_bytes` payload.
 pub fn data_packet_bytes(total_bytes: u64, seq: u32) -> u32 {
     let total = packets_for(total_bytes);
-    debug_assert!(seq < total);
+    assert!(seq < total, "packet {seq} of a {total}-packet flow");
     let payload = if seq + 1 == total {
         let rem = (total_bytes - (total as u64 - 1) * MSS as u64) as u32;
         rem.max(1)

@@ -19,6 +19,31 @@
 //! drop-tail allocation, the original traffic's queues and drops are
 //! *identical* to the baseline modulo TCP feedback effects — the paper's
 //! "can never delay the original traffic" property.
+//!
+//! ## Timers and arrivals
+//!
+//! The future-event list holds only live work: packets on the wire, one
+//! transmission per busy port, one retransmission-timer carrier per flow,
+//! and the next flow arrival.
+//!
+//! TCP re-arms its timer on every advancing ACK. Instead of pushing a new
+//! `Rto` each time and leaving the superseded ones to pop as no-ops, each
+//! flow keeps a [`Timer`] slot: the current deadline, the *ticket* (the
+//! sequence number [`EventQueue::reserve_seq`] hands out where the eager
+//! push used to be), and the one in-heap *carrier* event. Arming only
+//! pushes when there is no carrier or the new deadline is earlier than the
+//! carrier's. A carrier that pops at the current arming's key fires the
+//! timer; one that pops early re-pushes itself at `(deadline, ticket)`; a
+//! superseded carrier, or one of a completed flow, is dropped.
+//!
+//! Flow arrivals are chained the same way: the starts reserve sequence
+//! numbers `0..n` up front, only the first is pushed, and each start
+//! pushes the next (flows come sorted by start time).
+//!
+//! Every event that does work therefore pops at the same `(time, seq)` key
+//! as it would have had it been pushed eagerly, so the pop order of the
+//! live events, and with it the output, is unchanged; only the number of
+//! dead entries popped and the heap's size differ.
 
 use crate::packet::{data_packet_bytes, packets_for, Packet, PacketKind, ACK_BYTES};
 use crate::port::Port;
@@ -87,6 +112,10 @@ pub struct FctStats {
     pub drops_low: u64,
     /// Flows that failed to complete before the safety cutoff.
     pub incomplete: usize,
+    /// Events popped from the future-event list.
+    pub events: u64,
+    /// Largest number of events pending at once.
+    pub peak_pending: usize,
 }
 
 impl FctStats {
@@ -109,7 +138,21 @@ enum Ev {
     FlowStart(u32),
     Recv { node: NodeId, pkt: Packet },
     PortDone(LinkId),
-    Rto { flow: u32, epoch: u64 },
+    /// A flow's timer carrier, pushed under sequence number `seq`.
+    Rto { flow: u32, seq: u64 },
+}
+
+/// One flow's retransmission timer (see the module doc).
+#[derive(Clone, Copy, Debug, Default)]
+struct Timer {
+    /// Expiry of the current arming.
+    deadline: SimTime,
+    /// Sequence number reserved when the current arming was made.
+    ticket: u64,
+    /// The sender's `timer_epoch` at that arming.
+    epoch: u64,
+    /// `(time, seq)` of the flow's one live carrier event, if any.
+    carrier: Option<(SimTime, u64)>,
 }
 
 struct Engine<'a> {
@@ -121,6 +164,7 @@ struct Engine<'a> {
     receivers: Vec<TcpReceiver>,
     specs: Vec<FlowSpec>,
     fct: Vec<Option<f64>>,
+    timers: Vec<Timer>,
     q: EventQueue<Ev>,
     ecmp_salt: u64,
 }
@@ -192,14 +236,52 @@ impl Engine<'_> {
             self.send_data(flow, *seq);
         }
         if let Some(delay) = actions.arm_timer {
-            let epoch = self.senders[flow as usize].timer_epoch;
-            self.q
-                .push(now + SimTime::from_secs(delay), Ev::Rto { flow, epoch });
+            self.arm(flow, now + SimTime::from_secs(delay));
         }
         if actions.completed {
             let start = self.specs[flow as usize].start;
             self.fct[flow as usize] = Some(now.as_secs() - start);
         }
+    }
+
+    /// (Re)arms `flow`'s timer to expire at `at`, pushing a carrier only if
+    /// none is pending or the pending one is later than `at`.
+    fn arm(&mut self, flow: u32, at: SimTime) {
+        let ticket = self.q.reserve_seq();
+        let epoch = self.senders[flow as usize].timer_epoch;
+        let t = &mut self.timers[flow as usize];
+        t.deadline = at;
+        t.ticket = ticket;
+        t.epoch = epoch;
+        if t.carrier.is_none_or(|(carrier_at, _)| at < carrier_at) {
+            t.carrier = Some((at, ticket));
+            self.q
+                .push_reserved(at, ticket, Ev::Rto { flow, seq: ticket });
+        }
+    }
+
+    /// A carrier pushed under `seq` popped: fire, carry on, or drop.
+    fn on_carrier(&mut self, flow: u32, seq: u64) {
+        let t = &mut self.timers[flow as usize];
+        if t.carrier.map(|(_, s)| s) != Some(seq) {
+            return; // superseded by an earlier carrier
+        }
+        t.carrier = None;
+        if self.senders[flow as usize].completed {
+            return;
+        }
+        if seq != t.ticket {
+            // Re-armed later since this carrier was pushed.
+            let (at, ticket) = (t.deadline, t.ticket);
+            t.carrier = Some((at, ticket));
+            self.q
+                .push_reserved(at, ticket, Ev::Rto { flow, seq: ticket });
+            return;
+        }
+        let epoch = t.epoch;
+        let now = self.q.now().as_secs();
+        let actions = self.senders[flow as usize].on_timeout(now, epoch);
+        self.apply(flow, actions);
     }
 
     fn on_recv(&mut self, node: NodeId, pkt: Packet) {
@@ -221,7 +303,7 @@ impl Engine<'_> {
         // Switch: route by ECMP; maybe replicate.
         let cands = self.topo.candidates(node, pkt.dst);
         let n = cands.len();
-        debug_assert!(n >= 1, "switch {node} has no route to {}", pkt.dst);
+        assert!(n >= 1, "switch {node} has no route to {}", pkt.dst);
         let (is_ack, seq, is_replica) = match pkt.kind {
             PacketKind::Ack { .. } => (true, 0, false),
             PacketKind::Data { seq, replica } => (false, seq, replica),
@@ -283,15 +365,19 @@ pub fn run(cfg: &SimConfig) -> FctStats {
         .collect();
 
     let n_links = topo.links();
-    // A few events per flow plus one per link covers the steady-state
-    // population; pre-size so the heap never reallocates mid-run.
-    let queue_cap = (4 * specs.len() + n_links).max(4096);
+    // Pending events are, per link, the transmission in progress and the
+    // packets propagating on it; per flow, at most one timer carrier (a
+    // superseded one lingers only until it pops); and the next flow start.
+    // Pre-size for that so the heap does not reallocate mid-run: k = 6 with
+    // 6 250 flows at load 0.4 peaks near 3 400 events, under half of this.
+    let queue_cap = 4 * n_links + specs.len() + 1;
     let mut eng = Engine {
         cfg,
         topo,
         ports,
         in_flight: vec![None; n_links],
         fct: vec![None; specs.len()],
+        timers: vec![Timer::default(); specs.len()],
         senders,
         receivers,
         specs,
@@ -299,17 +385,30 @@ pub fn run(cfg: &SimConfig) -> FctStats {
         ecmp_salt,
     };
 
-    for (i, s) in eng.specs.iter().enumerate() {
+    // Flow `i` starts under sequence number `i`; each start pushes the next.
+    for _ in 0..eng.specs.len() {
+        eng.q.reserve_seq();
+    }
+    if let Some(first) = eng.specs.first() {
         eng.q
-            .push(SimTime::from_secs(s.start), Ev::FlowStart(i as u32));
+            .push_reserved(SimTime::from_secs(first.start), 0, Ev::FlowStart(0));
     }
 
     // Safety cutoffs: a stuck simulation is a bug, but an experiment sweep
     // should degrade (report incompletes) rather than hang.
     let max_events: u64 = 300_000_000;
+    let mut peak_pending = eng.q.len();
     while let Some((_, ev)) = eng.q.pop() {
         match ev {
             Ev::FlowStart(f) => {
+                let next = f as usize + 1;
+                if let Some(spec) = eng.specs.get(next) {
+                    eng.q.push_reserved(
+                        SimTime::from_secs(spec.start),
+                        next as u64,
+                        Ev::FlowStart(next as u32),
+                    );
+                }
                 let now = eng.q.now().as_secs();
                 let actions = eng.senders[f as usize].on_start(now);
                 eng.apply(f, actions);
@@ -327,12 +426,9 @@ pub fn run(cfg: &SimConfig) -> FctStats {
                     .push_after(SimTime::from_secs(prop), Ev::Recv { node: to, pkt });
                 eng.kick(l);
             }
-            Ev::Rto { flow, epoch } => {
-                let now = eng.q.now().as_secs();
-                let actions = eng.senders[flow as usize].on_timeout(now, epoch);
-                eng.apply(flow, actions);
-            }
+            Ev::Rto { flow, seq } => eng.on_carrier(flow, seq),
         }
+        peak_pending = peak_pending.max(eng.q.len());
         if eng.q.events_processed() > max_events {
             break;
         }
@@ -370,6 +466,8 @@ pub fn run(cfg: &SimConfig) -> FctStats {
         drops_high,
         drops_low,
         incomplete,
+        events: eng.q.events_processed(),
+        peak_pending,
     }
 }
 
@@ -458,5 +556,57 @@ mod tests {
         let mut b = run(&quick_cfg(0.3, true));
         assert_eq!(a.small_median(), b.small_median());
         assert_eq!(a.timeouts, b.timeouts);
+    }
+
+    /// FNV-1a-64 over a run's output: the sorted sample bits of `small`,
+    /// `large` and `all`, then the timeout, drop and incomplete counts.
+    fn output_hash(out: &mut FctStats) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for set in [&mut out.small, &mut out.large, &mut out.all] {
+            let s = set.sorted_slice();
+            eat(s.len() as u64);
+            for x in s {
+                eat(x.to_bits());
+            }
+        }
+        eat(out.timeouts);
+        eat(out.drops_high);
+        eat(out.drops_low);
+        eat(out.incomplete as u64);
+        h
+    }
+
+    /// Output pinned across commits. The hashes were captured before the
+    /// timers became lazy and flow arrivals chained; those changes must not
+    /// move a bit. The second config drops and times out, so RTO backoff
+    /// and re-arms to an earlier deadline are covered. The event counters
+    /// are pinned too: `events` counts only live work plus dropped
+    /// carriers, and `peak_pending` stays near links + active flows.
+    #[test]
+    fn output_pinned_across_commits() {
+        let mut moderate = run(&SimConfig {
+            flows: 2_000,
+            load: 0.4,
+            replicate_first: 8,
+            ..SimConfig::default()
+        });
+        assert_eq!(output_hash(&mut moderate), 0x670a_cfdf_b4a8_aadf);
+        assert_eq!((moderate.events, moderate.peak_pending), (1_514_065, 2_341));
+
+        let mut lossy = run(&SimConfig {
+            flows: 2_000,
+            load: 0.7,
+            buffer_bytes: 30_000,
+            ..SimConfig::default()
+        });
+        assert!(lossy.timeouts > 0, "the lossy config must time out");
+        assert_eq!(output_hash(&mut lossy), 0x2d4a_5882_6916_2dd7);
+        assert_eq!((lossy.events, lossy.peak_pending), (1_357_792, 2_329));
     }
 }

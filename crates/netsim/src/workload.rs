@@ -119,7 +119,7 @@ pub struct FlowSpec {
 
 /// Generates `n` Poisson flow arrivals at total rate `lambda`, with
 /// uniformly random distinct (src, dst) pairs over `hosts` and sizes from
-/// `dist`.
+/// `dist`. The flows are returned in start-time order.
 pub fn generate_flows(
     n: usize,
     lambda: f64,

@@ -14,7 +14,19 @@
 //! The backing store is the 4-ary [`Heap4`](crate::heap::Heap4): entry keys
 //! `(time, seq)` are unique, so the pop sequence is identical to the old
 //! `std::collections::BinaryHeap` backing — the swap is purely a constant-
-//! factor win on the push+pop hot path (see `BENCH_engine.json`).
+//! factor win on the push+pop hot path.
+//!
+//! ## Reserved sequence numbers
+//!
+//! [`EventQueue::reserve_seq`] takes the next sequence number without
+//! scheduling anything, and [`EventQueue::push_reserved`] later schedules an
+//! event under it. An event pushed that way pops at exactly the `(time, seq)`
+//! key an eager [`EventQueue::push`] at the moment of reservation would have
+//! given it, so a simulator can defer an insertion (or keep one entry standing
+//! in for several) without changing its pop order. The contract: the number
+//! must have come from `reserve_seq` (numbers never handed out panic), each
+//! reserved number is pushed at most once (keys must stay unique), and it is
+//! pushed before its key would have popped.
 
 use crate::heap::Heap4;
 use crate::time::SimTime;
@@ -118,13 +130,37 @@ impl<E> EventQueue<E> {
     /// Panics if `at` precedes the current clock — that would violate
     /// causality.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Takes the next FIFO sequence number without scheduling anything; pass
+    /// it to [`push_reserved`](Self::push_reserved) later. Every event pushed
+    /// after this call ranks behind it at equal times.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at absolute time `at` under a sequence number taken
+    /// earlier from [`reserve_seq`](Self::reserve_seq).
+    ///
+    /// # Panics
+    /// Panics if `at` precedes the current clock, or if `seq` was never
+    /// reserved.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved (next is {})",
+            self.next_seq
+        );
         self.heap.push(Entry {
             time: at,
             seq,
@@ -212,6 +248,97 @@ mod tests {
         q.push(SimTime::from_secs(5.0), ());
         q.pop();
         q.push(SimTime::from_secs(1.0), ());
+    }
+
+    #[test]
+    fn reserved_seq_keeps_fifo_rank() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1.0);
+        let early = q.reserve_seq();
+        q.push(t, "pushed after the reservation");
+        q.push_reserved(t, early, "reserved first");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec!["reserved first", "pushed after the reservation"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn push_reserved_rejects_unreserved_seq() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push_reserved(SimTime::from_secs(1.0), seq + 1, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn push_reserved_into_past_panics() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push(SimTime::from_secs(5.0), ());
+        q.pop();
+        q.push_reserved(SimTime::from_secs(1.0), seq, ());
+    }
+
+    /// Reserving a number and pushing under it later (but before it would
+    /// pop) gives the pop order of pushing eagerly at reservation time.
+    #[test]
+    fn deferred_push_matches_eager_push() {
+        use crate::rng::Rng;
+        let mut rng = Rng::seed_from(0xE7E7);
+        let mut eager = EventQueue::new();
+        let mut lazy = EventQueue::new();
+        // Reserved but not yet pushed in `lazy`: (time, seq, id).
+        let mut held: Vec<(SimTime, u64, u32)> = Vec::new();
+        let (mut eager_order, mut lazy_order) = (Vec::new(), Vec::new());
+        let mut id = 0u32;
+        for _ in 0..4_000 {
+            match rng.index(4) {
+                0 | 1 => {
+                    // Coarse times so equal timestamps are common.
+                    let at = eager.now() + SimTime::from_secs(rng.index(4) as f64);
+                    eager.push(at, id);
+                    if rng.index(2) == 0 {
+                        lazy.push(at, id);
+                    } else {
+                        held.push((at, lazy.reserve_seq(), id));
+                    }
+                    id += 1;
+                }
+                2 => {
+                    if !held.is_empty() {
+                        let (at, seq, e) = held.swap_remove(rng.index(held.len()));
+                        lazy.push_reserved(at, seq, e);
+                    }
+                }
+                _ => {
+                    // Before popping, release every held event whose key
+                    // could be the next one out.
+                    let next = eager.peek_time();
+                    held.retain(|&(at, seq, e)| {
+                        if Some(at) <= next {
+                            lazy.push_reserved(at, seq, e);
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    if let Some((_, e)) = eager.pop() {
+                        eager_order.push(e);
+                        lazy_order.push(lazy.pop().expect("lazy queue ran dry").1);
+                    }
+                }
+            }
+        }
+        for (at, seq, e) in held.drain(..) {
+            lazy.push_reserved(at, seq, e);
+        }
+        eager_order.extend(std::iter::from_fn(|| eager.pop()).map(|(_, e)| e));
+        lazy_order.extend(std::iter::from_fn(|| lazy.pop()).map(|(_, e)| e));
+        assert_eq!(eager_order.len(), id as usize);
+        assert_eq!(lazy_order, eager_order);
     }
 
     #[test]
