@@ -14,6 +14,7 @@
 use crate::cluster::{self, ClusterConfig, FilePopulation, NetProfile};
 use crate::disk::DiskProfile;
 use crate::service::{self, ServiceConfig};
+use crate::sharded::run_sharded;
 use simcore::dist::{BoundedPareto, Deterministic, DynDist, Exponential, Mixture};
 use simcore::rng::Rng;
 use simcore::runner::Runner;
@@ -378,11 +379,15 @@ fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs `replications` independent load-ramp simulations of the sharded
-/// service ([`crate::service`]) in parallel on the global [`Runner`] and
-/// aggregates the per-bucket decision and latency curves. Replication
-/// seeds are forked from `cfg.seed` by index, so the outcome is
-/// bit-identical at any thread count.
+/// Runs `replications` independent load-ramp simulations of the service
+/// ([`crate::service`]) in parallel on the global [`Runner`] and
+/// aggregates the per-bucket decision and latency curves. Each
+/// replication is one [`run_sharded`] on a single server group and a
+/// single worker: the replications are the parallelism, and the group
+/// count is fixed because it is part of the model (it changes FIFO
+/// tie-breaks between simultaneous events).
+/// Replication seeds are forked from `cfg.seed` by index, so the outcome
+/// is bit-identical at any thread count.
 ///
 /// The headline number is `switch_off`: the offered load at which the
 /// planner's live per-request decision flips from k = 2 to k = 1, which
@@ -405,7 +410,7 @@ pub fn run_service_ramp_on(
     let results = runner.run(replications, |r| {
         let mut c = cfg.clone();
         c.seed = seeds[r];
-        service::run(&c)
+        run_sharded(&c, 1, 1).result
     });
 
     let buckets = results[0].buckets.len();

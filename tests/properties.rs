@@ -536,6 +536,13 @@ fn estimator_bank_matches_bruteforce_across_interleaved_streams() {
 /// intentionally moved stored replica sets, so both reports changed;
 /// the hashes below are the post-fix outputs, and the pin again guards
 /// the global path against *unintended* drift from here on.
+///
+/// Re-pinned again when the ramp experiments moved from the removed
+/// sequential simulator onto the sharded engine (one lane, one server
+/// group), adopting its demand-sampled-at-dispatch and per-request
+/// cancel: `fig-service-est` `0x67fc1498f8471d01` → `0xacbf96b4732a1a18`,
+/// `fig-service-skew` `0xf94272a2216c3cf8` → `0x7aa32cd075687f89`. Every
+/// EXPERIMENTS.md band held across the move.
 #[test]
 fn load_model_global_reproduces_pr4_reports_byte_for_byte() {
     use repro_bench::{run_experiment, Effort};
@@ -550,8 +557,8 @@ fn load_model_global_reproduces_pr4_reports_byte_for_byte() {
     }
 
     for (id, pinned) in [
-        ("fig-service-est", 0x67fc1498f8471d01u64),
-        ("fig-service-skew", 0xf94272a2216c3cf8u64),
+        ("fig-service-est", 0xacbf96b4732a1a18u64),
+        ("fig-service-skew", 0x7aa32cd075687f89u64),
     ] {
         let out = run_experiment(id, Effort::Quick);
         assert_eq!(
