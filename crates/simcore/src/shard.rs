@@ -16,6 +16,21 @@
 //! by such an event arrives no earlier than `T + lookahead` — outside the
 //! window — so no shard can receive a straggler into its past.
 //!
+//! **One barrier per round.** A parallel worker drains its inbox, runs its
+//! shards' windows, appends each batch of outgoing wires to the receiving
+//! worker's inbox (one append per worker pair per round), and then
+//! min-reduces the next round's `T` from two sources: the next event times
+//! in its own queues and the timestamps of the wires it just emitted. The
+//! single barrier that ends the round therefore both publishes the wires
+//! and fixes the next window; the run has drained when that minimum is
+//! empty (no queued event, no wire emitted). Delivery may be *early*: a
+//! fast worker's next-round wires can reach a slow worker's inbox before
+//! the slow worker drains it for that round. That is harmless, because
+//! every wire is stamped at or after the bound of the round that emits it
+//! (`send` asserts `delay ≥ lookahead`), so it cannot fall inside the
+//! window it joins, and pop order is the total merge key below, so arrival
+//! order never matters.
+//!
 //! **Determinism is the contract.** Every entry — locally scheduled or
 //! received from another shard — carries the key
 //! `(time, origin shard, origin sequence)`; per-shard pop order is the
@@ -42,8 +57,8 @@ use crate::heap::Heap4;
 use crate::runner::lease_threads;
 use crate::time::SimTime;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod check;
 
@@ -220,7 +235,10 @@ impl<E> ShardQueue<E> {
 
     /// Merges an incoming cross-shard entry, keeping the sender's key.
     fn insert_wire(&mut self, w: Wire<E>) {
-        debug_assert_eq!(w.to, self.shard);
+        assert_eq!(
+            w.to, self.shard,
+            "cross-shard message delivered to the wrong shard"
+        );
         assert!(
             w.time >= self.now,
             "cross-shard message into the past: at={} now={}",
@@ -393,6 +411,8 @@ pub struct EngineStats {
     pub events: u64,
     /// Synchronization rounds executed (identical at every thread count).
     pub rounds: u64,
+    /// Cross-shard messages delivered (identical at every thread count).
+    pub wires: u64,
     /// Worker threads actually used (after the process-wide budget lease).
     pub threads: usize,
     /// The latest shard clock when the engine drained.
@@ -429,13 +449,31 @@ fn run_window<S: ShardLogic>(
     handled
 }
 
+/// The bit pattern of `time` as a round-minimum slot value.
+#[inline]
+fn time_bits(time: SimTime) -> u64 {
+    time.as_secs().to_bits()
+}
+
+/// The earliest pending event time over `cells`, as slot bits.
+fn next_time_bits<S: ShardLogic>(cells: &[Cell<S>]) -> u64 {
+    cells
+        .iter()
+        .filter_map(|c| c.queue.peek_time())
+        .min()
+        .map_or(INF_BITS, time_bits)
+}
+
 /// A sense-reversing barrier that spins briefly then yields — cheap at the
-/// 2-barriers-per-round rate this engine runs at, and well-behaved when the
-/// process-wide budget oversubscribes physical cores.
+/// one-barrier-per-round rate this engine runs at, and well-behaved when
+/// the process-wide budget oversubscribes physical cores. A worker that
+/// panics poisons it (see [`PoisonOnPanic`]), so its peers panic too
+/// instead of waiting for it forever.
 struct SpinBarrier {
     total: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -444,6 +482,7 @@ impl SpinBarrier {
             total,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
@@ -460,9 +499,24 @@ impl SpinBarrier {
                 if spins < 64 {
                     std::hint::spin_loop();
                 } else {
+                    assert!(
+                        !self.poisoned.load(Ordering::Relaxed),
+                        "another engine worker panicked"
+                    );
                     std::thread::yield_now();
                 }
             }
+        }
+    }
+}
+
+/// Poisons its barrier when dropped by a panicking worker.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -567,7 +621,7 @@ impl<S: ShardLogic> ShardEngine<S> {
     /// [`ShardEngine::run`].
     pub fn run_with(&mut self, workers: usize) -> EngineStats {
         let workers = workers.clamp(1, self.cells.len());
-        let (events, rounds) = if workers <= 1 {
+        let (events, rounds, wires) = if workers <= 1 {
             self.run_serial()
         } else {
             self.run_parallel(workers)
@@ -581,31 +635,37 @@ impl<S: ShardLogic> ShardEngine<S> {
         EngineStats {
             events,
             rounds,
+            wires,
             threads: workers,
             end_time,
         }
     }
 
     /// The sequential reference path: same rounds, same windows, one thread.
-    fn run_serial(&mut self) -> (u64, u64) {
+    /// Returns `(events, rounds, wires)`.
+    fn run_serial(&mut self) -> (u64, u64, u64) {
         let lookahead = self.lookahead;
         let mut outbox: Vec<Wire<S::Event>> = Vec::new();
-        let mut events = 0u64;
-        let mut rounds = 0u64;
+        let (mut events, mut rounds, mut sent, mut received) = (0u64, 0u64, 0u64, 0u64);
         while let Some(t_min) = self.cells.iter().filter_map(|c| c.queue.peek_time()).min() {
             let bound = t_min + lookahead;
             rounds += 1;
             for cell in &mut self.cells {
                 events += run_window(cell, bound, lookahead, &mut outbox);
             }
+            sent += outbox.len() as u64;
             for wire in outbox.drain(..) {
                 self.cells[wire.to as usize].queue.insert_wire(wire);
+                received += 1;
             }
         }
-        (events, rounds)
+        assert_eq!(sent, received, "cross-shard messages lost or duplicated");
+        (events, rounds, received)
     }
 
-    fn run_parallel(&mut self, workers: usize) -> (u64, u64) {
+    /// The parallel path: one barrier per round (see the module docs).
+    /// Returns `(events, rounds, wires)`.
+    fn run_parallel(&mut self, workers: usize) -> (u64, u64, u64) {
         let lookahead = self.lookahead;
         let shard_count = self.cells.len();
         // Shards are dealt round-robin so a hot low-numbered shard (the
@@ -616,92 +676,106 @@ impl<S: ShardLogic> ShardEngine<S> {
         for cell in std::mem::take(&mut self.cells) {
             parts[cell.id as usize % workers].push(cell);
         }
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<Wire<S::Event>>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        // One inbox per worker; senders append whole per-destination
+        // batches, the owner swaps the vector out at the start of a round.
+        let inboxes: Vec<Mutex<Vec<Wire<S::Event>>>> =
+            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
         let barrier = SpinBarrier::new(workers);
-        // Ping-pong round-minimum slots indexed by round parity: while one
-        // parity is being min-reduced for the current round, the other is
-        // reset for the next, so no worker can clobber a value a straggler
-        // still needs.
-        let round_min = [AtomicU64::new(INF_BITS), AtomicU64::new(INF_BITS)];
-        let mut finished: Vec<(Vec<Cell<S>>, u64, u64)> = Vec::with_capacity(workers);
+        // Rotating round-minimum slots: round `r` reads slot `r % 3`,
+        // min-reduces the next round's window into `(r + 1) % 3` and resets
+        // `(r + 2) % 3`, which every worker finished reading before the
+        // barrier that opened round `r`.
+        let round_min: [AtomicU64; 3] = std::array::from_fn(|_| AtomicU64::new(INF_BITS));
+        let mut finished = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
-            let barrier = &barrier;
-            let round_min = &round_min;
+            let (barrier, round_min, inboxes) = (&barrier, &round_min, &inboxes);
             let handles: Vec<_> = parts
                 .into_iter()
-                .zip(receivers)
-                .map(|(mut cells, rx)| {
-                    let senders = senders.clone();
+                .enumerate()
+                .map(|(me, mut cells)| {
                     scope.spawn(move || {
+                        let _poison = PoisonOnPanic(barrier);
                         let mut outbox: Vec<Wire<S::Event>> = Vec::new();
-                        let mut events = 0u64;
-                        let mut rounds = 0u64;
-                        let mut parity = 0usize;
+                        let mut mail: Vec<Vec<Wire<S::Event>>> =
+                            (0..workers).map(|_| Vec::new()).collect();
+                        let mut inbox: Vec<Wire<S::Event>> = Vec::new();
+                        let (mut events, mut rounds, mut sent, mut received) =
+                            (0u64, 0u64, 0u64, 0u64);
+                        // Seed round 0 with the initial queue minimum.
+                        round_min[0].fetch_min(next_time_bits(&cells), Ordering::SeqCst);
+                        barrier.wait();
                         loop {
-                            // Phase 1: drain the inbox (messages routed at
-                            // the end of the previous round), then reduce
-                            // this worker's minimum pending time.
-                            for wire in rx.try_iter() {
-                                let local = wire.to as usize / workers;
-                                cells[local].queue.insert_wire(wire);
-                            }
-                            let local_min = cells
-                                .iter()
-                                .filter_map(|c| c.queue.peek_time())
-                                .min()
-                                .map_or(INF_BITS, |t| t.as_secs().to_bits());
-                            round_min[parity].fetch_min(local_min, Ordering::SeqCst);
-                            barrier.wait();
-                            let global_min = round_min[parity].load(Ordering::SeqCst);
+                            let slot = (rounds % 3) as usize;
+                            let global_min = round_min[slot].load(Ordering::SeqCst);
                             if global_min == INF_BITS {
-                                // Every queue is empty and (because sends
-                                // precede the previous barrier) no message
-                                // is in flight: drained.
+                                // No queued event anywhere and no wire
+                                // emitted last round: drained.
                                 break;
                             }
-                            // Phase 2: everyone agrees on the window; run
-                            // it, route sends, and reset the other parity
-                            // slot for the next round.
-                            let bound =
-                                SimTime::from_secs(f64::from_bits(global_min)) + lookahead;
+                            std::mem::swap(
+                                &mut *inboxes[me].lock().expect("engine inbox poisoned"),
+                                &mut inbox,
+                            );
+                            received += inbox.len() as u64;
+                            for wire in inbox.drain(..) {
+                                cells[wire.to as usize / workers].queue.insert_wire(wire);
+                            }
+                            let bound = SimTime::from_secs(f64::from_bits(global_min)) + lookahead;
                             rounds += 1;
                             for cell in &mut cells {
                                 events += run_window(cell, bound, lookahead, &mut outbox);
                             }
+                            // Wires for this worker's own shards go straight
+                            // into their queues; the rest are batched per
+                            // destination. Either way they are stamped at or
+                            // after `bound`, so the next window may start at
+                            // the earliest of them.
+                            let mut next = INF_BITS;
+                            sent += outbox.len() as u64;
                             for wire in outbox.drain(..) {
+                                next = next.min(time_bits(wire.time));
                                 let dest = wire.to as usize % workers;
-                                senders[dest].send(wire).expect("engine worker hung up");
+                                if dest == me {
+                                    cells[wire.to as usize / workers].queue.insert_wire(wire);
+                                    received += 1;
+                                } else {
+                                    mail[dest].push(wire);
+                                }
                             }
-                            round_min[1 - parity].store(INF_BITS, Ordering::SeqCst);
+                            for (dest, batch) in mail.iter_mut().enumerate() {
+                                if !batch.is_empty() {
+                                    inboxes[dest]
+                                        .lock()
+                                        .expect("engine inbox poisoned")
+                                        .append(batch);
+                                }
+                            }
+                            next = next.min(next_time_bits(&cells));
+                            round_min[(slot + 1) % 3].fetch_min(next, Ordering::SeqCst);
+                            round_min[(slot + 2) % 3].store(INF_BITS, Ordering::SeqCst);
                             barrier.wait();
-                            parity = 1 - parity;
                         }
-                        (cells, events, rounds)
+                        (cells, events, rounds, sent, received)
                     })
                 })
                 .collect();
-            drop(senders);
             for h in handles {
                 finished.push(h.join().expect("engine worker panicked"));
             }
         });
-        let mut events = 0u64;
-        let mut rounds = 0u64;
+        let (mut events, mut rounds, mut sent, mut received) = (0u64, 0u64, 0u64, 0u64);
         let mut cells: Vec<Cell<S>> = Vec::with_capacity(shard_count);
-        for (part, ev, rd) in finished {
+        for (part, ev, rd, tx, rx) in finished {
             events += ev;
             rounds = rounds.max(rd);
+            sent += tx;
+            received += rx;
             cells.extend(part);
         }
+        assert_eq!(sent, received, "cross-shard messages lost or duplicated");
         cells.sort_unstable_by_key(|c| c.id);
         self.cells = cells;
-        (events, rounds)
+        (events, rounds, received)
     }
 }
 
@@ -806,8 +880,57 @@ mod tests {
         let b = build().run_with(4);
         assert_eq!(a.events, b.events);
         assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.wires, b.wires);
         assert_eq!(a.end_time, b.end_time);
-        assert!(a.events > 0 && a.rounds > 0);
+        assert!(a.events > 0 && a.rounds > 0 && a.wires > 0);
+    }
+
+    /// One token circling 4 shards: at every round boundary the only
+    /// pending work is a single wire in flight, so each round's minimum
+    /// comes from an emitted wire alone and drain detection must wait for
+    /// the last hop. Delays alternate between 1× and 1.5× the lookahead so
+    /// arrivals land both on and off the window boundary.
+    #[test]
+    fn token_ring_drains_with_only_a_wire_in_flight() {
+        struct Ring {
+            log: Vec<(u64, u32)>,
+        }
+        impl ShardLogic for Ring {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, hops: u32, ctx: &mut ShardCtx<'_, u32>) {
+                self.log.push((now.as_secs().to_bits(), hops));
+                if hops > 0 {
+                    let delay = if hops.is_multiple_of(2) {
+                        ctx.lookahead()
+                    } else {
+                        ctx.lookahead() * 1.5
+                    };
+                    ctx.send((ctx.shard() + 1) % 4, delay, hops - 1);
+                }
+            }
+        }
+        let run = |workers: usize| {
+            let states = (0..4).map(|_| Ring { log: Vec::new() }).collect();
+            let mut engine = ShardEngine::new(states, SimTime::from_micros(50.0));
+            engine.schedule(0, SimTime::from_micros(3.0), 201);
+            let stats = engine.run_with(workers);
+            let logs: Vec<_> = engine.into_states().into_iter().map(|s| s.log).collect();
+            (logs, stats)
+        };
+        let (reference, serial) = run(1);
+        assert_eq!(
+            (serial.events, serial.rounds, serial.wires),
+            (202, 202, 201)
+        );
+        for workers in [2, 3, 4] {
+            let (logs, stats) = run(workers);
+            assert_eq!(logs, reference, "workers={workers}");
+            assert_eq!(
+                (stats.events, stats.rounds, stats.wires),
+                (serial.events, serial.rounds, serial.wires),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
@@ -851,6 +974,23 @@ mod tests {
         let mut engine = ShardEngine::new(vec![Bad, Bad], SimTime::from_micros(50.0));
         engine.schedule(0, SimTime::ZERO, ());
         engine.run(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine worker panicked")]
+    fn worker_panic_fails_the_run_instead_of_hanging() {
+        // Shard 1's worker panics while shard 0's waits at the barrier.
+        struct Boom;
+        impl ShardLogic for Boom {
+            type Event = ();
+            fn handle(&mut self, _now: SimTime, _ev: (), ctx: &mut ShardCtx<'_, ()>) {
+                assert_eq!(ctx.shard(), 0, "boom");
+                ctx.send(1, ctx.lookahead(), ());
+            }
+        }
+        let mut engine = ShardEngine::new(vec![Boom, Boom], SimTime::from_micros(50.0));
+        engine.schedule(0, SimTime::ZERO, ());
+        engine.run_with(2);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! docs) is that per-shard pop order is a total order on the
 //! `(time, origin, seq)` merge key, so output is a pure function of the
 //! simulation — never of which worker ran which shard, which worker woke
-//! first in a round, or the order cross-shard messages drained out of the
-//! channels. CI checks that claim *dynamically* by byte-diffing a handful
-//! of thread counts; this module checks it the way loom checks a lock-free
-//! algorithm: by *enumerating* the schedule space of small workloads and
-//! asserting every schedule produces the identical event trace.
+//! first in a round, or the order and moment cross-shard messages reached
+//! their destination queues. CI checks that claim *dynamically* by
+//! byte-diffing a handful of thread counts; this module checks it the way
+//! loom checks a lock-free algorithm: by *enumerating* the schedule space
+//! of small workloads and asserting every schedule produces the identical
+//! event trace.
 //!
 //! A [`Schedule`] fixes every free choice the parallel runtime makes:
 //!
@@ -20,10 +21,16 @@
 //! * **local order** — the order a worker visits its own shards, forward
 //!   or reversed;
 //! * **delivery order** — the order routed wires are merged into
-//!   destination queues at the round boundary, forward or reversed.
-//!   Reversal is *more* adversarial than the real mpsc channels can
-//!   produce (they at least preserve each sender's FIFO order), so
-//!   passing here is strictly stronger than what the runtime needs.
+//!   destination queues, forward or reversed. Reversal is *more*
+//!   adversarial than the real inboxes can produce (they at least keep
+//!   each sender's batch in emission order), so passing here is strictly
+//!   stronger than what the runtime needs;
+//! * **delivery moment** — all wires at the round boundary, or *early*:
+//!   each worker's wires merged into their destination queues right after
+//!   that worker's windows, before later workers in the wake order run
+//!   theirs. Early delivery is what the one-barrier round protocol allows
+//!   (a fast worker's next-round wires can land in a slow worker's inbox
+//!   before the slow worker drains it for that round).
 //!
 //! [`explore_schedules`] runs a workload under every combination,
 //! recording each shard's popped `(time, origin, seq)` keys, and asserts
@@ -31,8 +38,9 @@
 //! verified on the spot against the production serial path
 //! ([`ShardEngine::run_with`]`(1)`) via its event/round counters. Within a
 //! round, serializing concurrent workers in *any* order is a valid
-//! linearization of the real execution because windows share no state;
-//! wires only move at the round boundary. A workload whose behaviour
+//! linearization of the real execution because windows share no state,
+//! and a wire merged early is stamped at or after the round's bound, so
+//! it cannot join a window already open. A workload whose behaviour
 //! leaks execution order (say, through a process-global counter) is
 //! caught: some wake order reorders the leak, the traces diverge, and the
 //! panic names the offending schedule.
@@ -66,8 +74,11 @@ pub struct Schedule {
     pub wake: Wake,
     /// Visit each worker's shards in reverse id order.
     pub reverse_local: bool,
-    /// Merge the round's routed wires in reverse emission order.
+    /// Merge routed wires in reverse emission order.
     pub reverse_delivery: bool,
+    /// Merge each worker's wires right after its windows instead of at the
+    /// round boundary.
+    pub early_delivery: bool,
 }
 
 impl Schedule {
@@ -79,6 +90,7 @@ impl Schedule {
             wake: Wake::Static(vec![0]),
             reverse_local: false,
             reverse_delivery: false,
+            early_delivery: false,
         }
     }
 
@@ -136,7 +148,8 @@ fn run_window_traced<S: ShardLogic>(
 /// Drains `engine` under `sched`, returning per-shard traces plus the
 /// event and round counts. The round protocol mirrors
 /// [`super::ShardEngine::run_parallel`]: global minimum, window
-/// `[T, T + lookahead)`, then wires merge at the round boundary.
+/// `[T, T + lookahead)`, and wires merged either after each worker's
+/// windows or at the round boundary, as `sched` says.
 pub fn run_traced<S: ShardLogic>(
     engine: &mut ShardEngine<S>,
     sched: &Schedule,
@@ -172,15 +185,28 @@ pub fn run_traced<S: ShardLogic>(
                 let cell = &mut engine.cells[s];
                 events += run_window_traced(cell, bound, lookahead, &mut wires, &mut traces[s]);
             }
+            if sched.early_delivery {
+                deliver(engine, &mut wires, sched.reverse_delivery);
+            }
         }
-        if sched.reverse_delivery {
-            wires.reverse();
-        }
-        for wire in wires.drain(..) {
-            engine.cells[wire.to as usize].queue.insert_wire(wire);
-        }
+        deliver(engine, &mut wires, sched.reverse_delivery);
     }
     (traces, events, rounds)
+}
+
+/// Merges `wires` into their destination queues, in reverse emission
+/// order if `reverse`.
+fn deliver<S: ShardLogic>(
+    engine: &mut ShardEngine<S>,
+    wires: &mut Vec<Wire<S::Event>>,
+    reverse: bool,
+) {
+    if reverse {
+        wires.reverse();
+    }
+    for wire in wires.drain(..) {
+        engine.cells[wire.to as usize].queue.insert_wire(wire);
+    }
 }
 
 /// All permutations of `0..n`, in a deterministic order.
@@ -247,7 +273,8 @@ fn assert_traces_equal(reference: &[Vec<TraceKey>], got: &[Vec<TraceKey>], sched
 /// Runs the workload produced by `build` under **every** schedule up to
 /// `max_workers` workers — all shard-to-worker assignments × all wake
 /// orders (every static permutation plus every rotation offset) × forward
-/// and reversed local order × forward and reversed delivery order — and
+/// and reversed local order × forward and reversed delivery order × wires
+/// delivered at the round boundary or early — and
 /// asserts every trace equals the identity schedule's, which is itself
 /// anchored to the production serial path by event/round counts.
 ///
@@ -294,22 +321,25 @@ where
             for wake in &wakes {
                 for reverse_local in [false, true] {
                     for reverse_delivery in [false, true] {
-                        let sched = Schedule {
-                            workers,
-                            assignment: assignment.clone(),
-                            wake: wake.clone(),
-                            reverse_local,
-                            reverse_delivery,
-                        };
-                        let mut engine = build();
-                        let (traces, events, rounds) = run_traced(&mut engine, &sched);
-                        assert_traces_equal(&reference, &traces, &sched);
-                        assert_eq!(
-                            (events, rounds),
-                            (ref_events, ref_rounds),
-                            "schedule diverged from the serial engine (counters) under {sched:?}"
-                        );
-                        schedules += 1;
+                        for early_delivery in [false, true] {
+                            let sched = Schedule {
+                                workers,
+                                assignment: assignment.clone(),
+                                wake: wake.clone(),
+                                reverse_local,
+                                reverse_delivery,
+                                early_delivery,
+                            };
+                            let mut engine = build();
+                            let (traces, events, rounds) = run_traced(&mut engine, &sched);
+                            assert_traces_equal(&reference, &traces, &sched);
+                            assert_eq!(
+                                (events, rounds),
+                                (ref_events, ref_rounds),
+                                "schedule diverged from the serial engine (counters) under {sched:?}"
+                            );
+                            schedules += 1;
+                        }
                     }
                 }
             }
@@ -330,13 +360,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Expected schedule count: Σ_{w=1..max} wᵈ · (w! + w) · 4, for d
+    /// Expected schedule count: Σ_{w=1..max} wᵈ · (w! + w) · 8, for d
     /// shards — assignments × (static perms + rotation offsets) × local
-    /// reversal × delivery reversal.
+    /// reversal × delivery reversal × delivery moment.
     fn expected_schedules(shards: usize, max_workers: usize) -> usize {
         let factorial = |n: usize| (1..=n).product::<usize>();
         (1..=max_workers)
-            .map(|w| w.pow(shards as u32) * (factorial(w) + w) * 4)
+            .map(|w| w.pow(shards as u32) * (factorial(w) + w) * 8)
             .sum()
     }
 
@@ -385,7 +415,7 @@ mod tests {
     fn shardcheck_boundary_ties() {
         let report = explore_schedules(boundary_engine, 3);
         assert_eq!(report.schedules, expected_schedules(3, 3));
-        assert_eq!(report.schedules, 1108);
+        assert_eq!(report.schedules, 2216);
         assert!(report.events > 100, "workload too small: {report:?}");
         assert!(report.rounds >= 4, "{report:?}");
     }
@@ -428,7 +458,7 @@ mod tests {
     fn shardcheck_tie_heavy_grid() {
         let report = explore_schedules(grid_engine, 2);
         assert_eq!(report.schedules, expected_schedules(2, 2));
-        assert_eq!(report.schedules, 72);
+        assert_eq!(report.schedules, 144);
         assert!(report.events > 40, "workload too small: {report:?}");
     }
 
@@ -531,6 +561,6 @@ mod tests {
         let a = assignments(2, 3);
         assert_eq!(a.len(), 9);
         assert!(a.contains(&vec![2, 0]));
-        assert_eq!(expected_schedules(3, 3), 1108);
+        assert_eq!(expected_schedules(3, 3), 2216);
     }
 }

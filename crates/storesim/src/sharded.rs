@@ -1091,7 +1091,8 @@ pub struct ShardedOutcome {
     /// The measurements (per-bucket `peak_utilization` is sliced per
     /// server group — see the module docs).
     pub result: ServiceResult,
-    /// Events, rounds, worker threads, and drain time of the engine run.
+    /// Events, rounds, cross-shard wires, worker threads, and drain time
+    /// of the engine run.
     /// `events` and `rounds` are deterministic and invariant to both the
     /// thread count and the frontend placement.
     pub engine: EngineStats,
