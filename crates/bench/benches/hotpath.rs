@@ -14,10 +14,12 @@
 //! * `cancel_issue` — the cancellation lifecycle the frontend drives per
 //!   request: token issue, the clone handed to each copy, the cancel on
 //!   first response, and the loser's observation of it;
-//! * `combined` — the stages chained exactly as `rt::run`'s dispatch
-//!   loop chains them (ingest, decide, trace-fingerprint, per-copy
-//!   moment ingest, token issue). `--assert-budget` turns the < 1000 ns
-//!   budget into a hard failure — the CI gate;
+//! * `combined` — the per-request sequence `rt::run` ships: one
+//!   `FrontendCore::decide` (routed ingest, live mean, planner decision),
+//!   the trace fingerprint, one `FrontendCore::observe_demand` per issued
+//!   copy (moment ingest and the recalibration cadence), and the token
+//!   issue. `--assert-budget` turns the < 1000 ns budget into a hard
+//!   failure — the CI gate;
 //! * `race` — one `sync_exec::race` (two thread-spawned replicas) vs,
 //!   under `--features tokio-exec`, one `tokio_exec::race_async` (two
 //!   futures on the built-in single-thread executor), both over trivial
@@ -35,10 +37,13 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use redundancy::cancel::CancelToken;
-use redundancy::estimator::{EstimatorBank, MomentEstimator};
+use redundancy::estimator::EstimatorBank;
 use redundancy::planner::{Planner, ThresholdCache, WorkloadProfile};
 use redundancy::sync_exec::{race, replica};
 use repro_bench::util::{json_extract_object, json_with_object};
+use simcore::rng::Rng;
+use storesim::frontend::FrontendCore;
+use storesim::service::{LoadModel, MomentSource};
 
 /// Best-of-3 [`time_ns`] (the minimum; interference only adds time).
 fn best_ns(mut f: impl FnMut()) -> f64 {
@@ -160,32 +165,44 @@ fn main() {
     });
     println!("cancel_issue                   {cancel_ns:>10.2} ns/iter");
 
-    // --- the combined per-request sequence, as rt::run chains it ---
-    let mut cbank = EstimatorBank::new(servers, 512);
-    let mut ccache = ThresholdCache::new();
-    let mut moments = MomentEstimator::new(4096);
+    // --- the combined per-request sequence, through the core rt::run runs ---
+    // RtConfig::smoke's core: per-server windows of 512 gaps, a 4096-demand
+    // moment window trusted after 256 and recalibrated every 512, fed
+    // exponential demands so the recalibrations see a live SCV.
+    let mut core = FrontendCore::new(
+        LoadModel::PerServer,
+        512,
+        &MomentSource::Estimated {
+            window: 4096,
+            min_samples: 256,
+            recalibrate: 512,
+        },
+        servers,
+        1,
+        planner,
+        0.05,
+    );
+    let mut drng = Rng::seed_from(7);
+    let demands: Vec<f64> = (0..1024)
+        .map(|_| drng.exponential(1.0 / mean_service))
+        .collect();
     let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
     let mut ct = 0.0f64;
     let mut cs = 0usize;
+    let mut di = 0usize;
     for i in 0..servers * 8 {
-        cbank.observe_arrival(i % servers, ct);
+        core.decide(ct, &[(i % servers) as u16, ((i + 3) % servers) as u16], servers);
         ct += 1.0e-5;
     }
     let combined_ns = measure(&mut || {
         cs = (cs + 1) % servers;
-        let pair = [cs, (cs + 3) % servers];
+        let pair = [cs as u16, ((cs + 3) % servers) as u16];
         ct += 2.0e-5;
-        cbank.observe_arrival(pair[0], ct);
-        cbank.observe_arrival(pair[1], ct);
-        let loads = [
-            cbank.utilization(pair[0], mean_service, 2),
-            cbank.utilization(pair[1], mean_service, 2),
-        ];
-        let d = planner.decide_for(&mut ccache, &loads);
-        let k: u8 = if d.replicate { 2 } else { 1 };
+        let k: u8 = if core.decide(ct, &pair, servers) { 2 } else { 1 };
         fnv1a(&mut fingerprint, &[k]);
         for _ in 0..k {
-            moments.observe(mean_service);
+            di = (di + 1) % demands.len();
+            core.observe_demand(demands[di]);
         }
         let token = CancelToken::new();
         black_box((fingerprint, token.is_cancelled()));

@@ -36,8 +36,9 @@
 //!   decisions against the hottest candidate instead of the cluster
 //!   average. Together with [`planner::Planner::recalibrated`] they make
 //!   a front-end fully self-calibrating: rate, mean, and variability are
-//!   all measured, none assumed — see `storesim::service` for the full
-//!   loop running on simulated traffic.
+//!   all measured, none assumed — see `storesim::frontend::FrontendCore`
+//!   for the full loop, which the simulated service's lanes and the
+//!   wall-clock runtime `storesim::rt` both run.
 //!
 //! ## Quick start (threads)
 //!

@@ -28,10 +28,14 @@
 //!   sharded parallel engine (one shard per server group plus a frontend
 //!   shard), unlocking hundred-server, million-request ramps with
 //!   bit-identical output at any thread count;
+//! * [`frontend`] — the adaptive per-request policy both drivers run:
+//!   estimator ingest, live mean, replicate-or-not decision, and moment
+//!   recalibration, in one [`frontend::FrontendCore`];
 //! * [`rt`] — the **wall-clock** twin of [`service`]: real worker threads
 //!   serving scripted requests over channels, live per-request planner
-//!   decisions, and first-response cancellation racing actual execution —
-//!   the decision trace stays deterministic, only latencies are real;
+//!   decisions through the same core, and first-response cancellation
+//!   racing actual execution — the decision trace stays deterministic,
+//!   only latencies are real;
 //! * [`experiments`] — one named configuration per figure (5 through 13),
 //!   plus the service-layer load-ramp experiment.
 //!
@@ -46,6 +50,7 @@
 pub mod cluster;
 pub mod disk;
 pub mod experiments;
+pub mod frontend;
 pub mod hashring;
 pub mod lru;
 pub mod memcached;

@@ -3,12 +3,13 @@
 //! Everything else in this crate runs in *simulated* time on
 //! `simcore::event`. This module is the executable twin: `N` real worker
 //! threads serve requests over `std::sync::mpsc` channels, the adaptive
-//! frontend makes live [`Planner::decide_for`] decisions fed by the real
-//! [`EstimatorBank`] / [`MomentEstimator`] stack, and first-response
-//! cancellation races actual in-flight execution through the shared
-//! [`CancelToken`]. It exists to answer the question the simulators
-//! cannot: is the per-request decision stack cheap enough — in real
-//! nanoseconds, against real thread wakeups — to run on every request?
+//! frontend makes live decisions through the same [`FrontendCore`] a
+//! simulated lane runs (per-server load model, one lane, dispatch-time
+//! demand reporting), and first-response cancellation races actual
+//! in-flight execution through the shared [`CancelToken`]. It exists to
+//! answer the question the simulators cannot: is the per-request decision
+//! stack cheap enough — in real nanoseconds, against real thread wakeups
+//! — to run on every request?
 //! ("When Do Redundant Requests Reduce Latency?" maps where decision
 //! overhead flips redundancy negative; this runtime is where we measure
 //! our own overhead against that line.)
@@ -21,10 +22,11 @@
 //! * the **request script** (arrival times, per-copy service demands,
 //!   server placements) is generated upfront from the seed, exactly like
 //!   the CRN draw streams in `queuesim::threshold`;
-//! * every estimator ingests **script time and scripted demands only**:
-//!   arrivals enter the [`EstimatorBank`] at their scripted timestamps,
-//!   and issued copies report their scripted demand at *dispatch*
-//!   (mirroring `DemandReport::Dispatch`), never a measured duration;
+//! * the core ingests **script time and scripted demands only**:
+//!   arrivals enter [`FrontendCore::decide`] at their scripted timestamps,
+//!   and issued copies report their scripted demand to
+//!   [`FrontendCore::observe_demand`] at *dispatch* (mirroring
+//!   `DemandReport::Dispatch`), never a measured duration;
 //! * therefore each replicate-or-not decision is a pure function of the
 //!   script prefix, and the recorded trace is byte-identical across runs
 //!   and across **any worker count** — the property pinned by the tests
@@ -45,9 +47,10 @@
 //! This file is the *only* storesim module on the lint `wall-clock`
 //! allowlist: `Instant` here is the data plane, not simulation state.
 
+use crate::frontend::FrontendCore;
+use crate::service::{LoadModel, MomentSource};
 use redundancy::cancel::CancelToken;
-use redundancy::estimator::{EstimatorBank, MomentEstimator};
-use redundancy::planner::{Planner, ThresholdCache, WorkloadProfile};
+use redundancy::planner::{Planner, WorkloadProfile};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use std::sync::mpsc;
@@ -76,8 +79,9 @@ pub struct RtConfig {
     /// Moment-estimator window, in observed (scripted) demands.
     pub moment_window: usize,
     /// Scripted demands observed before the live moments are trusted.
+    /// Must lie in `[2, moment_window]`.
     pub min_samples: usize,
-    /// Planner recalibration cadence, in observed demands.
+    /// Planner recalibration cadence, in observed demands. Must be ≥ 1.
     pub recalibrate: usize,
     /// Client-side overhead fed to the planner (§2.3), seconds.
     pub client_overhead: f64,
@@ -353,8 +357,9 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
 /// Runs the wall-clock service over the scripted workload.
 ///
 /// # Panics
-/// Panics on a zero worker count, `servers < 2`, or loads outside the
-/// replicated system's stable region.
+/// Panics on a zero worker count, `servers < 2`, loads outside the
+/// replicated system's stable region, or moment parameters
+/// [`FrontendCore::new`] rejects.
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(
@@ -364,8 +369,29 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.inflight >= 1, "need a positive in-flight window");
     let script = Script::build(cfg);
     let total = cfg.total();
-    let mean_cfg = cfg.service.mean();
-    let scv_cfg = cfg.service.scv();
+
+    // The live decision stack, built before the pool so a rejected
+    // config spawns no thread. It crosses no thread boundary: decisions
+    // are made inline here; only `Job`s, which are `Send`, reach workers.
+    let planner = Planner::new(WorkloadProfile {
+        mean_service: cfg.service.mean(),
+        scv: cfg.service.scv(),
+        client_overhead: cfg.client_overhead,
+    });
+    let mut core = FrontendCore::new(
+        LoadModel::PerServer,
+        cfg.window,
+        &MomentSource::Estimated {
+            window: cfg.moment_window,
+            min_samples: cfg.min_samples,
+            recalibrate: cfg.recalibrate,
+        },
+        cfg.servers,
+        1,
+        planner,
+        cfg.load_start,
+    );
+    let offline_threshold = core.live_threshold();
 
     // Worker pool: one job channel per worker, one shared completion
     // channel back. Copy on logical server s runs on worker s % workers.
@@ -378,23 +404,17 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         job_txs.push(tx);
         handles.push(std::thread::spawn(move || {
             for job in rx {
-                let done_msg = if job.token.is_cancelled() {
-                    CopyDone {
-                        req: job.req,
-                        outcome: CopyOutcome::Purged,
-                        latency: job.enqueued.elapsed(),
-                    }
+                let outcome = if job.token.is_cancelled() {
+                    CopyOutcome::Purged
+                } else if execute(job.demand_secs, &job.token) {
+                    CopyOutcome::Completed
                 } else {
-                    let completed = execute(job.demand_secs, &job.token);
-                    CopyDone {
-                        req: job.req,
-                        outcome: if completed {
-                            CopyOutcome::Completed
-                        } else {
-                            CopyOutcome::Aborted
-                        },
-                        latency: job.enqueued.elapsed(),
-                    }
+                    CopyOutcome::Aborted
+                };
+                let done_msg = CopyDone {
+                    req: job.req,
+                    outcome,
+                    latency: job.enqueued.elapsed(),
                 };
                 if done.send(done_msg).is_err() {
                     return;
@@ -403,21 +423,6 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         }));
     }
     drop(done_tx);
-
-    // The live decision stack — the exact types the simulated frontend
-    // uses, crossing no thread boundary (decisions are made inline here;
-    // only `Job`s, which are `Send`, cross to workers).
-    let mut bank = EstimatorBank::new(cfg.servers, cfg.window);
-    let mut moments = MomentEstimator::new(cfg.moment_window);
-    let base_planner = Planner::new(WorkloadProfile {
-        mean_service: mean_cfg,
-        scv: scv_cfg,
-        client_overhead: cfg.client_overhead,
-    });
-    let offline_threshold = base_planner.threshold_load();
-    let mut planner = base_planner;
-    let mut cache = ThresholdCache::new();
-    let mut observed = 0usize;
 
     // Per-request bookkeeping.
     let mut st = FrontState::new(total);
@@ -437,28 +442,19 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         }
 
         // --- the deterministic decision hot path (script inputs only) ---
-        let now = script.arrivals[i];
         let pair = script.pairs[i];
-        bank.observe_arrival(pair[0] as usize, now);
-        bank.observe_arrival(pair[1] as usize, now);
-        let mean_live = planner.profile().mean_service;
-        let loads = [
-            bank.utilization(pair[0] as usize, mean_live, 2),
-            bank.utilization(pair[1] as usize, mean_live, 2),
-        ];
-        let decision = planner.decide_for(&mut cache, &loads);
-        let k = if decision.replicate { 2u8 } else { 1u8 };
+        let k = if core.decide(script.arrivals[i], &pair, cfg.servers) {
+            2u8
+        } else {
+            1u8
+        };
         *trace_slot = k;
         fingerprint_entry(&mut fingerprint, k, pair, script.single_pick[i]);
 
         // Dispatch-time demand reporting (mirrors DemandReport::Dispatch):
         // every *issued* copy's scripted demand, observed exactly once.
         for c in 0..k as usize {
-            moments.observe(script.demands[i][copy_index(k, script.single_pick[i], c)]);
-            observed += 1;
-            if observed >= cfg.min_samples && observed.is_multiple_of(cfg.recalibrate) {
-                planner = base_planner.recalibrated(moments.mean(), moments.scv());
-            }
+            core.observe_demand(script.demands[i][copy_index(k, script.single_pick[i], c)]);
         }
 
         // --- real dispatch ---
@@ -554,22 +550,6 @@ fn fingerprint_entry(hash: &mut u64, k: u8, pair: [u16; 2], pick: u8) {
     fnv1a(hash, &pair[1].to_le_bytes());
 }
 
-// The decision stack crosses into this module under `Send` bounds (jobs
-// and tokens cross threads; estimators/planners stay on the frontend but
-// must be movable into service threads by callers). Pin it at compile
-// time so a non-Send regression in `redundancy` fails here, not in a
-// downstream embedding.
-#[allow(dead_code)] // compile-time Send assertion, never called
-fn assert_decision_stack_is_send() {
-    fn is_send<T: Send>() {}
-    is_send::<Planner>();
-    is_send::<ThresholdCache>();
-    is_send::<EstimatorBank>();
-    is_send::<MomentEstimator>();
-    is_send::<CancelToken>();
-    is_send::<Job>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,6 +600,38 @@ mod tests {
         }
         let again = run(&tiny(100_000, 4));
         assert_eq!(again.trace_fingerprint, base.trace_fingerprint);
+    }
+
+    #[test]
+    fn smoke_trace_fingerprint_is_pinned() {
+        // The script `repro svc-rt --quick` serves. e47acd93a8e2e95e →
+        // 6280858bdf12a1c5 when rt moved onto `FrontendCore`: loads are now
+        // priced with the live window mean once `min_samples` demands are
+        // held (the simulated lane's rule) instead of the mean frozen at
+        // the last recalibration. 9 428 → 9 427 requests replicated, the
+        // switch-off load unchanged at 0.40413.
+        let out = run(&RtConfig::smoke(20_000, 1));
+        assert_eq!(
+            out.trace_fingerprint, 0x6280_858b_df12_a1c5,
+            "{:016x}",
+            out.trace_fingerprint
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "recalibrate cadence must be >= 1")]
+    fn zero_recalibration_cadence_is_rejected() {
+        let mut cfg = tiny(1_000, 1);
+        cfg.recalibrate = 0;
+        run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_samples must be in [2, window]")]
+    fn trust_gate_beyond_the_moment_window_is_rejected() {
+        let mut cfg = tiny(1_000, 1);
+        cfg.min_samples = cfg.moment_window + 1;
+        run(&cfg);
     }
 
     #[test]

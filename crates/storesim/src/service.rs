@@ -586,6 +586,7 @@ pub fn switch_off_load(points: &[(f64, f64)]) -> f64 {
     crossing
 }
 
+#[derive(Default)]
 pub(crate) struct FifoServer {
     pub(crate) queue: VecDeque<(u32, f64)>,
     /// `(request id, service demand)` of the copy in service, if any —
@@ -603,6 +604,7 @@ pub(crate) struct PsJob {
     pub(crate) remaining: f64,
 }
 
+#[derive(Default)]
 pub(crate) struct PsServer {
     pub(crate) jobs: Vec<PsJob>,
     pub(crate) last: f64,
@@ -646,11 +648,14 @@ impl PsServer {
 /// tail-only `Hedged` ramp needs), an offered load that saturates the
 /// cluster (`max_copies × load_end ≥ 1` for `Always` policies,
 /// `2 × load_start ≥ 1` for the adaptive mode, which replicates only
-/// below the sub-½ threshold), estimated-mode parameters with
-/// `min_samples` outside `[2, window]`, or **completion-reported**
+/// below the sub-½ threshold), or **completion-reported**
 /// estimated moments combined with PS cancellation (the purged in-flight
 /// loser censors the completion-based sample; [`DemandReport::Dispatch`]
 /// is the censoring-free channel that makes the combination legal).
+/// Estimated-mode parameters (`min_samples` in `[2, window]`,
+/// `recalibrate ≥ 1`) are checked by
+/// [`FrontendCore::new`](crate::frontend::FrontendCore::new), which the
+/// wall-clock runtime shares.
 pub(crate) fn validate_config(cfg: &ServiceConfig) {
     assert!(cfg.servers > 0 && cfg.shards > 0 && cfg.requests > 0);
     assert!(
@@ -708,17 +713,9 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
                 "adaptive ramp starts saturated: 2*load_start = {}",
                 2.0 * cfg.load_start
             );
-            if let MomentSource::Estimated {
-                window,
-                min_samples,
-                recalibrate,
-            } = moments
-            {
-                assert!(
-                    *min_samples >= 2 && *min_samples <= *window,
-                    "min_samples must be in [2, window]"
-                );
-                assert!(*recalibrate >= 1, "recalibrate cadence must be >= 1");
+            // The estimated moment source's own ranges are checked where
+            // it is built, in `FrontendCore::new`.
+            if matches!(moments, MomentSource::Estimated { .. }) {
                 // Completion reporting samples completed copies. FIFO
                 // cancellation only purges *queued* copies — a
                 // value-independent drop — but PS cancellation kills the

@@ -21,13 +21,13 @@
 //! lane ℓ owns the requests with `req % lanes == ℓ`, a contiguous
 //! `1/lanes` slice of the key shards, its own forked RNG substreams
 //! (streams `3ℓ+1..=3ℓ+3`, so one lane draws exactly the streams the
-//! pre-lane frontend drew), and its own estimator state
-//! ([`RateEstimator`]/[`EstimatorBank`] slice plus [`MomentEstimator`]).
+//! pre-lane frontend drew), and its own estimator state (a
+//! [`FrontendCore`]: rate-estimator slice plus moment estimator).
 //! Lanes see only their own arrivals, so they periodically exchange
 //! [`LoadSummary`] messages (floored at the lookahead) and combine peer
-//! rates through [`PeerLoads`] — rates are additive, so the combined
-//! utilization estimate converges to the whole cluster's without any
-//! shared mutable state.
+//! rates through [`PeerLoads`](redundancy::estimator::PeerLoads) — rates
+//! are additive, so the combined utilization estimate converges to the
+//! whole cluster's without any shared mutable state.
 //!
 //! The lane count is a **model** parameter: `lanes > 1` runs a different
 //! (decomposed) arrival process, and `lanes = 1` is byte-identical to the
@@ -77,7 +77,7 @@
 //! `remove_server` sequences, so the rings never diverge; requests
 //! landing on a shard whose owners moved are dual-dispatched to the old
 //! *and* new owners for the configured migration window; and the
-//! per-server [`EstimatorBank`] grows/resets per churned index. All of
+//! per-server estimator bank grows/resets per churned index. All of
 //! it flows through the keyed scheduling API under lane-logical origins,
 //! so elastic runs keep the workspace invariant: bit-identical output at
 //! any thread count and frontend placement. Server slots for the full
@@ -87,23 +87,19 @@
 //! buckets bin by **instantaneous per-live-server load**, which is the ρ
 //! axis the planner's switch-off must track through every resize.
 
+use crate::frontend::FrontendCore;
 use crate::hashring::HashRing;
 use crate::service::{
     hottest_stored_server, shard_of, validate_config, DemandReport, Discipline, FifoServer,
-    Frontend, LoadModel, MomentSource, PsJob, PsServer, RampBucket, ServiceConfig, ServiceResult,
-    switch_off_load,
+    Frontend, PsJob, PsServer, RampBucket, ServiceConfig, ServiceResult, switch_off_load,
 };
-use redundancy::estimator::{
-    EstimatorBank, LoadSummary, MomentEstimator, MomentSnapshot, PeerLoads, RateEstimator,
-};
-use redundancy::planner::{Planner, ThresholdCache};
+use redundancy::estimator::LoadSummary;
 use redundancy::policy::Policy;
 use simcore::dist::Distribution;
 use simcore::rng::Rng;
 use simcore::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic};
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -217,18 +213,8 @@ struct Lane {
     arrival_rng: Rng,
     place_rng: Rng,
     svc_rng: Rng,
-    estimator: Option<RateEstimator>,
-    bank: Option<EstimatorBank>,
-    peers: PeerLoads,
-    moment_est: Option<MomentEstimator>,
-    min_samples: usize,
-    recalibrate: u64,
-    threshold_cache: ThresholdCache,
-    planner: Planner,
-    live_planner: Planner,
-    live_threshold: f64,
-    observed: u64,
-    recalibrations: u64,
+    /// The adaptive decision state (`None` for a fixed policy).
+    core: Option<FrontendCore>,
     /// Indexed by the lane-local request index `req / lanes`.
     reqs: Vec<ReqSlot>,
     response: SampleSet,
@@ -282,6 +268,41 @@ impl Lane {
         s
     }
 
+    /// Schedules `ev` on this lane at `at` under the lane's merge key.
+    fn keyed_at(&mut self, ctx: &mut ShardCtx<'_, SEv>, at: SimTime, ev: SEv) {
+        let seq = self.take_seq();
+        ctx.schedule_at_keyed(at, self.id, seq, ev);
+    }
+
+    /// Sends `ev` to engine shard `dest`, one propagation delay out, under
+    /// the lane's merge key.
+    fn keyed_wire(&mut self, ctx: &mut ShardCtx<'_, SEv>, dest: usize, ev: SEv) {
+        let seq = self.take_seq();
+        let prop = SimTime::from_secs(self.st.cfg.propagation);
+        ctx.send_keyed(dest, prop, self.id, seq, ev);
+    }
+
+    /// Delivers `ev` to `lane` one propagation delay out: keyed-local when
+    /// that lane shares this engine shard, a wire otherwise. The merge key
+    /// is the sender's either way, so placement cannot reorder it.
+    fn deliver_to_lane(&mut self, ctx: &mut ShardCtx<'_, SEv>, lane: usize, ev: SEv) {
+        let dest = self.st.lane_shard[lane] as usize;
+        if dest == ctx.shard() {
+            let at = ctx.now() + SimTime::from_secs(self.st.cfg.propagation);
+            self.keyed_at(ctx, at, ev);
+        } else {
+            self.keyed_wire(ctx, dest, ev);
+        }
+    }
+
+    /// Re-arms a periodic lane timer `period` seconds out while this lane
+    /// still has requests in flight (so the engine can drain).
+    fn rearm(&mut self, ctx: &mut ShardCtx<'_, SEv>, period: f64, ev: SEv) {
+        if self.finished < self.owned {
+            self.keyed_at(ctx, ctx.now() + SimTime::from_secs(period), ev);
+        }
+    }
+
     fn bucket_of(&self, offered: f64) -> usize {
         if self.st.span.abs() < f64::EPSILON {
             0
@@ -299,20 +320,10 @@ impl Lane {
         offered * self.st.cfg.servers as f64 / self.st.mean_service / self.st.lanes as f64
     }
 
-    /// Ingests one per-copy service duration into the moment estimator
-    /// and, on the recalibration cadence once warm, re-derives the live
-    /// threshold and planner from the measured (mean, SCV).
+    /// Reports one per-copy service demand to the adaptive core.
     fn observe_service(&mut self, svc: f64) {
-        if let Some(me) = self.moment_est.as_mut() {
-            me.observe(svc);
-            self.observed += 1;
-            if me.len() >= self.min_samples && self.observed.is_multiple_of(self.recalibrate) {
-                self.live_threshold =
-                    self.threshold_cache
-                        .threshold(me.mean(), me.scv(), self.st.cfg.client_overhead);
-                self.live_planner = self.planner.recalibrated(me.mean(), me.scv());
-                self.recalibrations += 1;
-            }
+        if let Some(core) = self.core.as_mut() {
+            core.observe_demand(svc);
         }
     }
 
@@ -323,7 +334,6 @@ impl Lane {
     /// request stream crosses bucket boundaries; a hedge fired later
     /// carries [`NO_BUCKET`] and cannot reopen a closed slice.
     fn dispatch(&mut self, req: u32, from: usize, to: usize, ctx: &mut ShardCtx<'_, SEv>) {
-        let prop = SimTime::from_secs(self.st.cfg.propagation);
         let slot = (req as usize) / self.st.lanes;
         let measured = (req as usize) >= self.st.cfg.warmup;
         let bucket = if from == 0 && measured {
@@ -339,19 +349,13 @@ impl Lane {
             }
             self.copies_issued += 1;
             let dest = self.st.group_shard_of[server as usize] as usize;
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.send_keyed(
-                dest,
-                prop,
-                origin,
-                seq,
-                SEv::CopyArrive {
-                    req,
-                    server,
-                    bucket,
-                    demand,
-                },
-            );
+            let ev = SEv::CopyArrive {
+                req,
+                server,
+                bucket,
+                demand,
+            };
+            self.keyed_wire(ctx, dest, ev);
         }
         // A request counts as duplicated when a second copy is *actually
         // dispatched* — for hedged policies only when the hedge fires.
@@ -391,7 +395,7 @@ impl Lane {
         // Elastic placement comes from the live ring; static from the
         // precomputed table (identical to a ring lookup, but flat).
         // Copied into a stack buffer so no borrow of `self` outlives the
-        // mutable estimator access below.
+        // mutable core access below.
         let mut stored_buf = [0u16; MAX_STORED];
         if let Some(ring) = &self.ring {
             ring.replicas_into(shard as u64, &mut stored_buf[..k_stored]);
@@ -401,55 +405,16 @@ impl Lane {
         }
 
         // Replication decision, with peer-reported rates folded into the
-        // utilization estimates.
+        // utilization estimates (see `FrontendCore::decide`).
         let (copies, hedge_after) = match &self.st.cfg.frontend {
             Frontend::Fixed(policy) => match *policy {
                 Policy::Single => (1usize, None),
                 Policy::Always { copies } => (copies, None),
                 Policy::Hedged { copies, after } => (copies, Some(after.as_secs_f64())),
             },
-            Frontend::Adaptive { load_model, .. } => {
-                let live_mean = match self.moment_est.as_ref() {
-                    Some(me) if me.len() >= self.min_samples => me.mean(),
-                    _ => self.st.mean_service,
-                };
-                let replicate = match load_model {
-                    LoadModel::Global => {
-                        let est = self.estimator.as_mut().expect("adaptive estimator");
-                        est.observe_arrival(t);
-                        let rho = if est.is_warm() {
-                            // Divide by the *live* fleet, not the
-                            // configured one — the whole point of
-                            // elastic mode is that the threshold tracks
-                            // current capacity (static: live == servers).
-                            self.peers.total_rate(0, est.rate()) * live_mean
-                                / self.live as f64
-                        } else {
-                            self.st.cfg.load_start
-                        };
-                        rho < self.live_threshold
-                    }
-                    LoadModel::PerServer => {
-                        let bank = self.bank.as_mut().expect("per-server bank");
-                        let mut rho_max = 0.0f64;
-                        for &stored_s in &stored_buf[..k_stored] {
-                            let s = stored_s as usize;
-                            bank.observe_arrival(s, t);
-                            let rho = if bank.get(s).is_warm() {
-                                self.peers.total_rate(s, bank.rate(s)) * live_mean
-                                    / k_stored as f64
-                            } else {
-                                self.st.cfg.load_start
-                            };
-                            rho_max = rho_max.max(rho);
-                        }
-                        let d = self
-                            .live_planner
-                            .decide_for(&mut self.threshold_cache, &[rho_max]);
-                        self.live_threshold = d.threshold_load;
-                        d.replicate
-                    }
-                };
+            Frontend::Adaptive { .. } => {
+                let core = self.core.as_mut().expect("adaptive lane has a core");
+                let replicate = core.decide(t, &stored_buf[..k_stored], self.live);
                 (if replicate { 2 } else { 1 }, None)
             }
         };
@@ -525,13 +490,7 @@ impl Lane {
         match hedge_after {
             Some(after) => {
                 self.dispatch(req, 0, 1, ctx);
-                let (origin, seq) = (self.id, self.take_seq());
-                ctx.schedule_at_keyed(
-                    SimTime::from_secs(t + after),
-                    origin,
-                    seq,
-                    SEv::HedgeFire { req },
-                );
+                self.keyed_at(ctx, SimTime::from_secs(t + after), SEv::HedgeFire { req });
             }
             None => {
                 self.dispatch(req, 0, tlen, ctx);
@@ -541,15 +500,8 @@ impl Lane {
         if i + self.st.lanes < self.st.total {
             let lambda = self.lambda_of(self.st.cfg.offered_cluster(i + self.st.lanes));
             let gap = self.arrival_rng.exponential(lambda);
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(gap),
-                origin,
-                seq,
-                SEv::Arrive {
-                    req: req + self.st.lanes as u32,
-                },
-            );
+            let next = req + self.st.lanes as u32;
+            self.keyed_at(ctx, ctx.now() + SimTime::from_secs(gap), SEv::Arrive { req: next });
         }
     }
 
@@ -578,13 +530,11 @@ impl Lane {
             self.completed += 1;
         }
         if self.st.cfg.cancellation && self.reqs[slot].sent > 1 {
-            let prop = SimTime::from_secs(self.st.cfg.propagation);
             for idx in 0..self.reqs[slot].sent as usize {
                 let other = self.reqs[slot].targets[idx];
                 if other != server {
                     let dest = self.st.group_shard_of[other as usize] as usize;
-                    let (origin, seq) = (self.id, self.take_seq());
-                    ctx.send_keyed(dest, prop, origin, seq, SEv::Cancel { req, server: other });
+                    self.keyed_wire(ctx, dest, SEv::Cancel { req, server: other });
                 }
             }
         }
@@ -595,13 +545,11 @@ impl Lane {
     /// engine shard) and re-arms the timer while the lane still has
     /// requests in flight.
     fn summary_tick(&mut self, ctx: &mut ShardCtx<'_, SEv>) {
-        let rates = match (&self.estimator, &self.bank) {
-            (Some(est), _) => est.summary(),
-            (_, Some(bank)) => bank.summary(),
-            _ => unreachable!("summary tick on a lane without estimators"),
-        };
-        let delay = SimTime::from_secs(self.st.cfg.propagation);
-        let here = ctx.shard();
+        let rates = self
+            .core
+            .as_ref()
+            .expect("summary tick on a fixed-policy lane")
+            .summary();
         for peer in 0..self.st.lanes {
             if peer == self.id as usize {
                 continue;
@@ -611,26 +559,11 @@ impl Lane {
                 to: peer as u16,
                 rates: rates.clone(),
             };
-            let dest = self.st.lane_shard[peer] as usize;
-            let (origin, seq) = (self.id, self.take_seq());
-            if dest == here {
-                ctx.schedule_at_keyed(ctx.now() + delay, origin, seq, ev);
-            } else {
-                ctx.send_keyed(dest, delay, origin, seq, ev);
-            }
+            self.deliver_to_lane(ctx, peer, ev);
             self.summaries_sent += 1;
         }
-        if self.finished < self.owned {
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(self.st.summary_period),
-                origin,
-                seq,
-                SEv::SummaryTick {
-                    lane: self.id as u16,
-                },
-            );
-        }
+        let lane = self.id as u16;
+        self.rearm(ctx, self.st.summary_period, SEv::SummaryTick { lane });
     }
 
     /// The autoscale controller (lane 0): estimate cluster-wide
@@ -643,34 +576,12 @@ impl Lane {
     fn scale_tick(&mut self, ctx: &mut ShardCtx<'_, SEv>) {
         let t = ctx.now().as_secs();
         let a = self.st.cfg.autoscale.expect("scale tick without autoscale");
-        let live_mean = match self.moment_est.as_ref() {
-            Some(me) if me.len() >= self.min_samples => me.mean(),
-            _ => self.st.mean_service,
-        };
-        // Cluster arrival rate: own estimate plus last-heard peer
-        // summaries. The per-server bank reports every request to all
-        // `k_stored` candidates, so its index sum overcounts by exactly
-        // that factor.
-        let rate = match (&self.estimator, &self.bank) {
-            (Some(est), _) => est
-                .is_warm()
-                .then(|| self.peers.total_rate(0, est.rate())),
-            (_, Some(bank)) => {
-                let warm = (0..bank.len()).any(|s| bank.get(s).is_warm());
-                warm.then(|| {
-                    (0..bank.len())
-                        .map(|s| self.peers.total_rate(s, bank.rate(s)))
-                        .sum::<f64>()
-                        / self.st.cfg.stored_replicas as f64
-                })
-            }
-            _ => None,
-        };
-        if let Some(rate) = rate {
-            // Evaluated against the latest *announced* size: a decision
-            // in flight (applied one lookahead later) must not be
-            // re-taken against the stale fleet on the next tick.
-            let rho = rate * live_mean / self.target_live as f64;
+        // Cluster load from the same estimator-plus-peers stack the
+        // planner reads, evaluated against the latest *announced* size: a
+        // decision in flight (applied one lookahead later) must not be
+        // re-taken against the stale fleet on the next tick.
+        let core = self.core.as_ref().expect("autoscale needs the adaptive core");
+        if let Some(rho) = core.cluster_load(self.st.cfg.stored_replicas, self.target_live) {
             let mut target = self.target_live;
             if rho > a.scale_out {
                 target = (target + a.step).min(a.max_servers);
@@ -685,33 +596,17 @@ impl Lane {
                     servers: target,
                     rho,
                 });
-                let delay = SimTime::from_secs(self.st.cfg.propagation);
-                let here = ctx.shard();
                 for lane in 0..self.st.lanes {
                     let ev = SEv::Topology {
                         to: lane as u16,
                         generation: self.topo_announced,
                         servers: target as u16,
                     };
-                    let dest = self.st.lane_shard[lane] as usize;
-                    let (origin, seq) = (self.id, self.take_seq());
-                    if dest == here {
-                        ctx.schedule_at_keyed(ctx.now() + delay, origin, seq, ev);
-                    } else {
-                        ctx.send_keyed(dest, delay, origin, seq, ev);
-                    }
+                    self.deliver_to_lane(ctx, lane, ev);
                 }
             }
         }
-        if self.finished < self.owned {
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(self.st.scale_period),
-                origin,
-                seq,
-                SEv::ScaleTick,
-            );
-        }
+        self.rearm(ctx, self.st.scale_period, SEv::ScaleTick);
     }
 
     /// Applies a topology broadcast: mutate this lane's ring to the new
@@ -720,7 +615,7 @@ impl Lane {
     /// per-server estimator state (grow on scale-out, per-index reset of
     /// departed servers on scale-in; survivors untouched).
     fn apply_topology(&mut self, t: f64, generation: u32, servers: usize) {
-        debug_assert_eq!(generation, self.topo_gen + 1, "topology gap");
+        assert_eq!(generation, self.topo_gen + 1, "topology gap");
         self.topo_gen = generation;
         let ring = self.ring.as_mut().expect("topology without autoscale");
         self.ring_prev = Some(ring.clone());
@@ -730,14 +625,8 @@ impl Lane {
         while ring.servers() > servers {
             ring.remove_server();
         }
-        if let Some(bank) = self.bank.as_mut() {
-            bank.grow_to(servers);
-            // Departed indices go cold; a re-added server must warm up
-            // fresh, not inherit its pre-departure window.
-            for idx in servers..self.live {
-                bank.reset(idx);
-            }
-            self.peers.grow_to(servers);
+        if let Some(core) = self.core.as_mut() {
+            core.resize(self.live, servers);
         }
         self.cap_integral += self.live as f64 * (t - self.cap_last);
         self.cap_last = t;
@@ -788,48 +677,33 @@ struct Group {
 }
 
 impl Group {
-    #[inline]
-    fn take_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Schedules `ev` on this group at `at` seconds under its merge key.
+    fn keyed_at(&mut self, ctx: &mut ShardCtx<'_, SEv>, at: f64, ev: SEv) {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        ctx.schedule_at_keyed(SimTime::from_secs(at), self.origin, seq, ev);
     }
 
     /// Sends a completion back to the lane owning `req`.
     fn respond(&mut self, req: u32, server: u16, demand: f64, ctx: &mut ShardCtx<'_, SEv>) {
-        let lane = (req % self.lanes) as usize;
-        let dest = self.lane_shard[lane] as usize;
-        let (origin, seq) = (self.origin, self.take_seq());
-        ctx.send_keyed(
-            dest,
-            SimTime::from_secs(self.propagation),
-            origin,
-            seq,
-            SEv::Response {
-                req,
-                server,
-                demand,
-            },
-        );
+        let dest = self.lane_shard[(req % self.lanes) as usize] as usize;
+        let seq = self.seq;
+        self.seq += 1;
+        let ev = SEv::Response {
+            req,
+            server,
+            demand,
+        };
+        ctx.send_keyed(dest, SimTime::from_secs(self.propagation), self.origin, seq, ev);
     }
 
     fn fifo_start_next(&mut self, s: usize, t: f64, ctx: &mut ShardCtx<'_, SEv>) {
-        let (origin, seq) = (self.origin, self.seq);
         let srv = &mut self.fifo[s];
-        if let Some((req, svc)) = srv.queue.pop_front() {
-            srv.in_service = Some((req, svc));
+        srv.in_service = srv.queue.pop_front();
+        if let Some((_, svc)) = srv.in_service {
             srv.busy += svc;
-            self.seq += 1;
-            ctx.schedule_at_keyed(
-                SimTime::from_secs(t + svc),
-                origin,
-                seq,
-                SEv::FifoDepart {
-                    server: (self.lo + s) as u16,
-                },
-            );
-        } else {
-            srv.in_service = None;
+            let server = (self.lo + s) as u16;
+            self.keyed_at(ctx, t + svc, SEv::FifoDepart { server });
         }
     }
 
@@ -837,17 +711,8 @@ impl Group {
         let srv = &mut self.ps[s];
         srv.epoch = srv.epoch.wrapping_add(1);
         if let Some(at) = srv.next_departure(t) {
-            let epoch = srv.epoch;
-            let (origin, seq) = (self.origin, self.take_seq());
-            ctx.schedule_at_keyed(
-                SimTime::from_secs(at),
-                origin,
-                seq,
-                SEv::PsDepart {
-                    server: (self.lo + s) as u16,
-                    epoch,
-                },
-            );
+            let (server, epoch) = ((self.lo + s) as u16, srv.epoch);
+            self.keyed_at(ctx, at, SEv::PsDepart { server, epoch });
         }
     }
 
@@ -1058,9 +923,12 @@ impl ShardLogic for Node {
             (Node::Front(f), SEv::SummaryTick { lane }) => {
                 f.lane_by_id(lane as usize).summary_tick(ctx)
             }
-            (Node::Front(f), SEv::Summary { from, to, rates }) => {
-                f.lane_by_id(to as usize).peers.apply(from as usize, rates)
-            }
+            (Node::Front(f), SEv::Summary { from, to, rates }) => f
+                .lane_by_id(to as usize)
+                .core
+                .as_mut()
+                .expect("summary sent to a fixed-policy lane")
+                .apply_peer(from as usize, rates),
             (Node::Front(f), SEv::ScaleTick) => f.lane_by_id(0).scale_tick(ctx),
             (Node::Front(f), SEv::Topology {
                 to,
@@ -1194,8 +1062,12 @@ pub fn run_sharded_placed(
 
     let mean_service = cfg.service.mean();
     assert!(mean_service.is_finite() && mean_service > 0.0);
-    let planner = cfg.planner();
-    let threshold = planner.threshold_load();
+    // One core, cloned into every lane: building it bisects the planner's
+    // threshold (milliseconds), which is also the reported one.
+    let core = FrontendCore::for_service(cfg);
+    let threshold = core
+        .as_ref()
+        .map_or_else(|| cfg.planner().threshold_load(), FrontendCore::live_threshold);
 
     // Placement is precomputed into a flat table: the hot path then never
     // touches the ring (HashRing::replicas allocates per call).
@@ -1251,58 +1123,14 @@ pub fn run_sharded_placed(
     // pre-lane frontend drew (1, 2, 3).
     let mut root = Rng::seed_from(cfg.seed);
     let slice_len = cfg.shards / lanes;
-    let adaptive = matches!(cfg.frontend, Frontend::Adaptive { .. });
+    let adaptive = core.is_some();
     let mut lanes_vec: Vec<Lane> = Vec::with_capacity(lanes);
-    // (shard, at, origin, seq, event) seeds applied once the engine exists.
-    let mut seeds: Vec<(usize, SimTime, u32, u64, SEv)> = Vec::new();
+    // (lane, at, seq, event) seeds applied once the engine exists.
+    let mut seeds: Vec<(usize, f64, u64, SEv)> = Vec::new();
     for l in 0..lanes {
         let arrival_rng = root.fork((3 * l + 1) as u64);
         let place_rng = root.fork((3 * l + 2) as u64);
         let svc_rng = root.fork((3 * l + 3) as u64);
-
-        // A lane sees a `1/lanes` thinning of the arrival stream, so a
-        // window of `window` of its own gaps would span `lanes`× more
-        // simulated time than the single-lane estimator's — and lag a
-        // ramp `lanes`× harder. Scaling the per-lane window down keeps
-        // the aggregate time horizon (and so the estimator's
-        // responsiveness) what the config asked for; at one lane the
-        // division is exact and nothing changes.
-        let lane_window = |w: usize| (w / lanes).max(2);
-        let (estimator, bank) = match &cfg.frontend {
-            Frontend::Adaptive {
-                window, load_model, ..
-            } => match load_model {
-                LoadModel::Global => (Some(RateEstimator::new(lane_window(*window))), None),
-                LoadModel::PerServer => (
-                    None,
-                    Some(EstimatorBank::new(cfg.servers, lane_window(*window))),
-                ),
-            },
-            Frontend::Fixed(_) => (None, None),
-        };
-        let peer_width = match &cfg.frontend {
-            Frontend::Adaptive { load_model, .. } => match load_model {
-                LoadModel::Global => 1,
-                LoadModel::PerServer => cfg.servers,
-            },
-            Frontend::Fixed(_) => 1,
-        };
-        let (moment_est, min_samples, recalibrate) = match &cfg.frontend {
-            Frontend::Adaptive {
-                moments:
-                    MomentSource::Estimated {
-                        window,
-                        min_samples,
-                        recalibrate,
-                    },
-                ..
-            } => (
-                Some(MomentEstimator::new(lane_window(*window))),
-                min_samples.div_ceil(lanes),
-                *recalibrate as u64,
-            ),
-            _ => (None, 0, 1),
-        };
 
         // Lane l owns requests {l, l+lanes, l+2·lanes, …} below `total`.
         let owned = (total - l).div_ceil(lanes);
@@ -1316,18 +1144,7 @@ pub fn run_sharded_placed(
             arrival_rng,
             place_rng,
             svc_rng,
-            estimator,
-            bank,
-            peers: PeerLoads::new(lanes, peer_width),
-            moment_est,
-            min_samples,
-            recalibrate,
-            threshold_cache: ThresholdCache::new(),
-            planner,
-            live_planner: planner,
-            live_threshold: threshold,
-            observed: 0,
-            recalibrations: 0,
+            core: core.clone(),
             reqs: Vec::with_capacity(owned),
             response: SampleSet::with_capacity(cfg.requests / lanes + 1),
             bucket_samples: (0..cfg.buckets).map(|_| SampleSet::new()).collect(),
@@ -1355,33 +1172,15 @@ pub fn run_sharded_placed(
             let first_gap = lane
                 .arrival_rng
                 .exponential(lane.lambda_of(cfg.offered(l)));
-            let seq = lane.take_seq();
-            seeds.push((
-                statics.lane_shard[l] as usize,
-                SimTime::from_secs(first_gap),
-                l as u32,
-                seq,
-                SEv::Arrive { req: l as u32 },
-            ));
+            let mut timers = vec![(first_gap, SEv::Arrive { req: l as u32 })];
             if lanes > 1 && adaptive {
-                let seq = lane.take_seq();
-                seeds.push((
-                    statics.lane_shard[l] as usize,
-                    SimTime::from_secs(statics.summary_period),
-                    l as u32,
-                    seq,
-                    SEv::SummaryTick { lane: l as u16 },
-                ));
+                timers.push((statics.summary_period, SEv::SummaryTick { lane: l as u16 }));
             }
             if l == 0 && statics.elastic {
-                let seq = lane.take_seq();
-                seeds.push((
-                    statics.lane_shard[0] as usize,
-                    SimTime::from_secs(statics.scale_period),
-                    0,
-                    seq,
-                    SEv::ScaleTick,
-                ));
+                timers.push((statics.scale_period, SEv::ScaleTick));
+            }
+            for (at, ev) in timers {
+                seeds.push((l, at, lane.take_seq(), ev));
             }
         }
         lanes_vec.push(lane);
@@ -1406,27 +1205,8 @@ pub fn run_sharded_placed(
     for g in 0..groups {
         let n = bounds[g + 1] - bounds[g];
         let (fifo, ps) = match cfg.discipline {
-            Discipline::Fifo => (
-                (0..n)
-                    .map(|_| FifoServer {
-                        queue: VecDeque::new(),
-                        in_service: None,
-                        busy: 0.0,
-                    })
-                    .collect(),
-                Vec::new(),
-            ),
-            Discipline::Ps => (
-                Vec::new(),
-                (0..n)
-                    .map(|_| PsServer {
-                        jobs: Vec::new(),
-                        last: 0.0,
-                        epoch: 0,
-                        busy: 0.0,
-                    })
-                    .collect(),
-            ),
+            Discipline::Fifo => ((0..n).map(|_| FifoServer::default()).collect(), Vec::new()),
+            Discipline::Ps => (Vec::new(), (0..n).map(|_| PsServer::default()).collect()),
         };
         nodes.push(Node::Group(Box::new(Group {
             lo: bounds[g],
@@ -1459,8 +1239,9 @@ pub fn run_sharded_placed(
             (8 * (bounds[g + 1] - bounds[g])).max(256),
         );
     }
-    for (shard, at, origin, seq, ev) in seeds {
-        engine.schedule_keyed(shard, at, origin, seq, ev);
+    for (l, at, seq, ev) in seeds {
+        let shard = statics.lane_shard[l] as usize;
+        engine.schedule_keyed(shard, SimTime::from_secs(at), l as u32, seq, ev);
     }
 
     let stats = engine.run(threads);
@@ -1515,7 +1296,7 @@ pub fn run_sharded_placed(
         response.merge(&lane.response);
         completed += lane.completed;
         copies_issued += lane.copies_issued;
-        recalibrations += lane.recalibrations;
+        recalibrations += lane.core.as_ref().map_or(0, FrontendCore::recalibrations);
         summaries += lane.summaries_sent;
     }
     // Every issued copy either completed service or was purged by a
@@ -1571,32 +1352,20 @@ pub fn run_sharded_placed(
 
     // Pooled service moments across the lanes (Chan's combine) — at one
     // lane this is exactly the lane's own windowed estimate.
-    let moment_pool = lanes_out
-        .iter()
-        .filter_map(|l| l.moment_est.as_ref().map(|m| m.snapshot()))
-        .fold(None::<MomentSnapshot>, |acc, s| {
-            Some(acc.map_or(s, |a| a.merge(s)))
-        });
-    // Report the pooled moments once the lanes together hold as many
-    // samples as the single-lane gate demanded (at one lane: the same
-    // `len >= min_samples` comparison as before).
-    let min_pooled = lanes_out.first().map_or(0, |l| l.min_samples) * lanes;
-    let (est_mean_service, est_scv) = match moment_pool {
-        Some(snap) if (snap.count as usize) >= min_pooled => (snap.mean, snap.scv()),
-        _ => (f64::NAN, f64::NAN),
-    };
+    let (est_mean_service, est_scv) =
+        FrontendCore::pooled_moments(lanes_out.iter().filter_map(|l| l.core.as_ref()));
 
     let result = ServiceResult {
         response,
         switch_off: switch_off_load(&curve),
         planner_threshold: threshold,
-        live_threshold: match &cfg.frontend {
-            Frontend::Fixed(_) => f64::NAN,
-            // Lane 0's view; lanes recalibrate from the same pooled
-            // summaries so the spread across lanes is within the
-            // exchange period's drift.
-            Frontend::Adaptive { .. } => lanes_out[0].live_threshold,
-        },
+        // Lane 0's view (NaN for a fixed policy); lanes recalibrate from
+        // the same pooled summaries so the spread across lanes is within
+        // the exchange period's drift.
+        live_threshold: lanes_out[0]
+            .core
+            .as_ref()
+            .map_or(f64::NAN, FrontendCore::live_threshold),
         est_mean_service,
         est_scv,
         recalibrations,
@@ -1621,7 +1390,7 @@ pub fn run_sharded_placed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service;
+    use crate::service::{self, LoadModel, MomentSource};
     use simcore::dist::{DynDist, Exponential};
 
     fn small_ramp() -> ServiceConfig {
